@@ -11,9 +11,11 @@
 //  2. at any time only one copy of the object is registered as writable.
 //
 // Ownership moves to the committing transaction's node on every write
-// commit; the committer updates the home. Requesters keep a local owner
-// hint cache; a stale hint is detected by the owner ("not owner" reply) and
-// refreshed from the home.
+// commit; the committer updates the home off its commit path, tagging the
+// update with the commit's version so a late or reordered update can never
+// move the home backwards. Requesters keep a local owner hint cache; a stale
+// hint is detected by the owner ("not owner" reply, which names where the
+// object went) and is chased forward, or refreshed from the home.
 package cc
 
 import (
@@ -30,7 +32,9 @@ import (
 const (
 	KindLookup   transport.Kind = 1
 	KindRegister transport.Kind = 2
-	KindUpdate   transport.Kind = 3
+	// KindUpdate is retired: its unversioned single-object update was
+	// replaced by KindUpdateBatch. The number stays reserved, never reused.
+	KindUpdate transport.Kind = 3
 	// Batch variants: one message carries every object of a commit that is
 	// homed at the same directory node (owner-grouped commit pipeline).
 	KindLookupBatch   transport.Kind = 4
@@ -57,12 +61,6 @@ type registerReq struct {
 	Tx    uint64
 }
 
-// updateReq moves ownership to a new node (commit-time migration).
-type updateReq struct {
-	Oid   object.ID
-	Owner transport.NodeID
-}
-
 // lookupBatchReq asks a home node for the owners of several objects.
 type lookupBatchReq struct{ Oids []object.ID }
 
@@ -79,10 +77,14 @@ type registerBatchReq struct {
 }
 
 // updateBatchReq moves ownership of several objects homed at the receiver
-// to Owner (commit-time migration).
+// to Owner (commit-time migration). Ver is the migrating commit's version:
+// the home applies an entry only if Ver is newer than the last version it
+// applied for that object. One object's versions strictly increase, so a
+// delayed, retransmitted or reordered update is ignored, not regressive.
 type updateBatchReq struct {
 	Oids  []object.ID
 	Owner transport.NodeID
+	Ver   object.Version
 }
 
 // batchErrResp carries per-object errors parallel to a batch request; an
@@ -94,7 +96,6 @@ func init() {
 	transport.RegisterPayload(lookupReq{})
 	transport.RegisterPayload(lookupResp{})
 	transport.RegisterPayload(registerReq{})
-	transport.RegisterPayload(updateReq{})
 	transport.RegisterPayload(lookupBatchReq{})
 	transport.RegisterPayload(lookupBatchResp{})
 	transport.RegisterPayload(registerBatchReq{})
@@ -123,6 +124,7 @@ type Service struct {
 
 	mu     sync.Mutex
 	owners map[object.ID]transport.NodeID // directory shard: objects homed here
+	vers   map[object.ID]object.Version   // version of the last update applied per object
 	regTx  map[object.ID]uint64           // transaction that registered each object
 	hints  map[object.ID]transport.NodeID // locator cache: last known owners
 }
@@ -134,12 +136,12 @@ func NewService(ep *cluster.Endpoint, size int) *Service {
 		ep:     ep,
 		size:   size,
 		owners: make(map[object.ID]transport.NodeID),
+		vers:   make(map[object.ID]object.Version),
 		regTx:  make(map[object.ID]uint64),
 		hints:  make(map[object.ID]transport.NodeID),
 	}
 	ep.Handle(KindLookup, s.handleLookup)
 	ep.Handle(KindRegister, s.handleRegister)
-	ep.Handle(KindUpdate, s.handleUpdate)
 	ep.Handle(KindLookupBatch, s.handleLookupBatch)
 	ep.Handle(KindRegisterBatch, s.handleRegisterBatch)
 	ep.Handle(KindUpdateBatch, s.handleUpdateBatch)
@@ -176,23 +178,6 @@ func (s *Service) handleRegister(_ transport.NodeID, payload any) (any, error) {
 	if req.Tx != 0 {
 		s.regTx[req.Oid] = req.Tx
 	}
-	return lookupResp{Owner: req.Owner, Known: true}, nil
-}
-
-func (s *Service) handleUpdate(_ transport.NodeID, payload any) (any, error) {
-	req, ok := payload.(updateReq)
-	if !ok {
-		return nil, fmt.Errorf("cc: bad update payload %T", payload)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, known := s.owners[req.Oid]; !known {
-		return nil, fmt.Errorf("cc: update for unregistered object %q", req.Oid)
-	}
-	s.owners[req.Oid] = req.Owner
-	// Ownership migrating means the creating transaction committed long ago;
-	// its re-register window is over.
-	delete(s.regTx, req.Oid)
 	return lookupResp{Owner: req.Owner, Known: true}, nil
 }
 
@@ -248,7 +233,13 @@ func (s *Service) handleUpdateBatch(_ transport.NodeID, payload any) (any, error
 			resp.Errs[i] = fmt.Sprintf("cc: update for unregistered object %q", oid)
 			continue
 		}
+		if !s.vers[oid].Less(req.Ver) {
+			continue // a newer migration already reached the home
+		}
 		s.owners[oid] = req.Owner
+		s.vers[oid] = req.Ver
+		// Ownership migrating means the creating transaction committed;
+		// its re-register window is over.
 		delete(s.regTx, oid)
 	}
 	return resp, nil
@@ -296,12 +287,6 @@ func (s *Service) InvalidateHint(id object.ID) {
 	s.mu.Unlock()
 }
 
-// Relocate invalidates the hint and performs a fresh home lookup.
-func (s *Service) Relocate(ctx context.Context, id object.ID) (transport.NodeID, error) {
-	s.InvalidateHint(id)
-	return s.locateFresh(ctx, id)
-}
-
 // NoteOwner records an authoritative owner hint learned from the protocol
 // (e.g. an object push naming its new owner).
 func (s *Service) NoteOwner(id object.ID, owner transport.NodeID) {
@@ -320,16 +305,6 @@ func (s *Service) Register(ctx context.Context, id object.ID, owner transport.No
 // lost) can re-register idempotently. tx 0 means strict one-shot semantics.
 func (s *Service) RegisterTx(ctx context.Context, id object.ID, owner transport.NodeID, tx uint64) error {
 	_, err := s.ep.Call(ctx, s.Home(id), KindRegister, registerReq{Oid: id, Owner: owner, Tx: tx})
-	if err != nil {
-		return err
-	}
-	s.NoteOwner(id, owner)
-	return nil
-}
-
-// UpdateOwner records commit-time ownership migration at the home.
-func (s *Service) UpdateOwner(ctx context.Context, id object.ID, owner transport.NodeID) error {
-	_, err := s.ep.Call(ctx, s.Home(id), KindUpdate, updateReq{Oid: id, Owner: owner})
 	if err != nil {
 		return err
 	}
@@ -416,19 +391,16 @@ func (s *Service) RegisterBatchTx(ctx context.Context, ids []object.ID, owner tr
 	return msgs, nil
 }
 
-// UpdateOwnerBatch records commit-time ownership migration of every id at
-// its home, one message per home node, returning the message count.
-func (s *Service) UpdateOwnerBatch(ctx context.Context, ids []object.ID, owner transport.NodeID) (int, error) {
-	msgs, err := s.batchByHome(ctx, ids, KindUpdateBatch, func(oids []object.ID) any {
-		return updateBatchReq{Oids: oids, Owner: owner}
+// UpdateOwnerBatch records the migration of every id to owner by the
+// commit that produced version ver, one message per home node, returning
+// the message count. Homes ignore entries older than the last update they
+// applied, so callers may send it asynchronously. It leaves the local hint
+// cache alone: by the time a late reply lands, the caller may already know
+// a newer owner.
+func (s *Service) UpdateOwnerBatch(ctx context.Context, ids []object.ID, owner transport.NodeID, ver object.Version) (int, error) {
+	return s.batchByHome(ctx, ids, KindUpdateBatch, func(oids []object.ID) any {
+		return updateBatchReq{Oids: oids, Owner: owner, Ver: ver}
 	})
-	if err != nil {
-		return msgs, err
-	}
-	for _, id := range ids {
-		s.NoteOwner(id, owner)
-	}
-	return msgs, nil
 }
 
 // batchByHome groups ids by home node, broadcasts one kind-message per

@@ -125,15 +125,16 @@ func TestUpdateOwnerAndHints(t *testing.T) {
 		t.Fatalf("locate: %d, %v", owner, err)
 	}
 	// Ownership migrates to node 3.
-	if err := svcs[3].UpdateOwner(ctx, "obj/m", 3); err != nil {
+	if _, err := svcs[3].UpdateOwnerBatch(ctx, []object.ID{"obj/m"}, 3, object.Version{Clock: 1, Node: 3}); err != nil {
 		t.Fatal(err)
 	}
 	// Node 0 still has the stale hint...
 	if owner, _ := svcs[0].Locate(ctx, "obj/m"); owner != 2 {
 		t.Fatalf("expected stale hint 2, got %d", owner)
 	}
-	// ...until it relocates.
-	owner, err := svcs[0].Relocate(ctx, "obj/m")
+	// ...until it drops the hint and asks the home again.
+	svcs[0].InvalidateHint("obj/m")
+	owner, err := svcs[0].Locate(ctx, "obj/m")
 	if err != nil || owner != 3 {
 		t.Fatalf("relocate: %d, %v", owner, err)
 	}
@@ -145,8 +146,53 @@ func TestUpdateOwnerAndHints(t *testing.T) {
 
 func TestUpdateUnregistered(t *testing.T) {
 	svcs := newCluster(t, 3)
-	if err := svcs[0].UpdateOwner(context.Background(), "ghost", 1); err == nil {
-		t.Fatal("UpdateOwner on unregistered object succeeded")
+	ghost := []object.ID{"ghost"}
+	if _, err := svcs[0].UpdateOwnerBatch(context.Background(), ghost, 1, object.Version{Clock: 1}); err == nil {
+		t.Fatal("UpdateOwnerBatch on unregistered object succeeded")
+	}
+}
+
+// TestUpdateOlderVersionIgnored delivers a home update after a newer one,
+// as a retried or reordered off-path update can arrive: the home must stay
+// on the newer owner, and a later, newer update still applies.
+func TestUpdateOlderVersionIgnored(t *testing.T) {
+	svcs := newCluster(t, 4)
+	ctx := context.Background()
+	oid := object.ID("obj/r")
+	if err := svcs[0].Register(ctx, oid, 0); err != nil {
+		t.Fatal(err)
+	}
+	home := svcs[0].Home(oid)
+	update := func(owner transport.NodeID, clock uint64) {
+		t.Helper()
+		req := updateBatchReq{Oids: []object.ID{oid}, Owner: owner, Ver: object.Version{Clock: clock, Node: int32(owner)}}
+		body, err := svcs[owner].ep.Call(ctx, home, KindUpdateBatch, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if errs := body.(batchErrResp).Errs; errs[0] != "" {
+			t.Fatalf("update to %d@%d: %s", owner, clock, errs[0])
+		}
+	}
+	ownerAtHome := func() transport.NodeID {
+		t.Helper()
+		svcs[3].InvalidateHint(oid)
+		owner, err := svcs[3].Locate(ctx, oid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return owner
+	}
+
+	update(2, 9) // the newer migration's update lands first
+	update(1, 5) // the older one arrives late
+	if got := ownerAtHome(); got != 2 {
+		t.Fatalf("home owner = %d after a late older update, want 2", got)
+	}
+	update(2, 9) // a retransmission of the applied update is a no-op too
+	update(3, 12)
+	if got := ownerAtHome(); got != 3 {
+		t.Fatalf("home owner = %d after a newer update, want 3", got)
 	}
 }
 

@@ -64,11 +64,6 @@ func FuzzDirectoryBatchRoundTrip(f *testing.F) {
 		if got := roundTrip(t, srreq).(registerReq); got != srreq {
 			t.Fatalf("registerReq changed: %+v -> %+v", srreq, got)
 		}
-		sureq := updateReq{Oid: object.ID(oidA), Owner: transport.NodeID(owner)}
-		if got := roundTrip(t, sureq).(updateReq); got != sureq {
-			t.Fatalf("updateReq changed: %+v -> %+v", sureq, got)
-		}
-
 		lreq := lookupBatchReq{Oids: oids}
 		if got := roundTrip(t, lreq).(lookupBatchReq); !reflect.DeepEqual(got, lreq) {
 			t.Fatalf("lookupBatchReq changed: %+v -> %+v", lreq, got)
@@ -86,7 +81,7 @@ func FuzzDirectoryBatchRoundTrip(f *testing.F) {
 			t.Fatalf("registerBatchReq changed: %+v -> %+v", rreq, got)
 		}
 
-		ureq := updateBatchReq{Oids: oids, Owner: transport.NodeID(owner)}
+		ureq := updateBatchReq{Oids: oids, Owner: transport.NodeID(owner), Ver: object.Version{Clock: tx, Node: -owner}}
 		if got := roundTrip(t, ureq).(updateBatchReq); !reflect.DeepEqual(got, ureq) {
 			t.Fatalf("updateBatchReq changed: %+v -> %+v", ureq, got)
 		}

@@ -14,7 +14,7 @@ const (
 	wireIDLookupReq        wire.ID = 40
 	wireIDLookupResp       wire.ID = 41
 	wireIDRegisterReq      wire.ID = 42
-	wireIDUpdateReq        wire.ID = 43
+	_                      wire.ID = 43 // retired single-object update; never reuse
 	wireIDLookupBatchReq   wire.ID = 44
 	wireIDLookupBatchResp  wire.ID = 45
 	wireIDRegisterBatchReq wire.ID = 46
@@ -77,15 +77,6 @@ func init() {
 				Tx:    r.Uvarint(),
 			}
 		})
-	wire.Register(wireIDUpdateReq, updateReq{},
-		func(b []byte, v any) ([]byte, error) {
-			q := v.(updateReq)
-			b = wire.AppendString(b, string(q.Oid))
-			return wire.AppendVarint(b, int64(q.Owner)), nil
-		},
-		func(r *wire.Reader, _ any) any {
-			return updateReq{Oid: object.ID(r.String()), Owner: transport.NodeID(r.Varint())}
-		})
 	wire.Register(wireIDLookupBatchReq, lookupBatchReq{},
 		func(b []byte, v any) ([]byte, error) {
 			return appendOids(b, v.(lookupBatchReq).Oids), nil
@@ -142,7 +133,9 @@ func init() {
 		func(b []byte, v any) ([]byte, error) {
 			q := v.(updateBatchReq)
 			b = appendOids(b, q.Oids)
-			return wire.AppendVarint(b, int64(q.Owner)), nil
+			b = wire.AppendVarint(b, int64(q.Owner))
+			b = wire.AppendUvarint(b, q.Ver.Clock)
+			return wire.AppendVarint(b, int64(q.Ver.Node)), nil
 		},
 		func(r *wire.Reader, prev any) any {
 			var q updateBatchReq
@@ -151,6 +144,7 @@ func init() {
 			}
 			q.Oids = readOids(r, q.Oids)
 			q.Owner = transport.NodeID(r.Varint())
+			q.Ver = object.Version{Clock: r.Uvarint(), Node: int32(r.Varint())}
 			return q
 		})
 	wire.Register(wireIDBatchErrResp, batchErrResp{},

@@ -64,8 +64,8 @@ func (r Result) MetricsTable() string {
 		"enqueues", m.Enqueues, m.Pushes, m.Retrieves, m.LeaseExpiries)
 	fmt.Fprintf(&b, "%-22s %8d   nested-own %d  nested-parent %d (rate %.1f%%)\n",
 		"nested-commits", m.NestedCommits, m.NestedOwn, m.NestedParent, 100*m.NestedAbortRate())
-	fmt.Fprintf(&b, "%-22s %8d   rounds %d  msgs/commit %.1f  rounds/commit %.1f\n",
-		"commit-msgs", m.CommitMsgs, m.CommitRounds, m.MsgsPerCommit(), m.RoundsPerCommit())
+	fmt.Fprintf(&b, "%-22s %8d   rounds %d  msgs/commit %.1f  rounds/commit %.1f  home-update-failures %d\n",
+		"commit-msgs", m.CommitMsgs, m.CommitRounds, m.MsgsPerCommit(), m.RoundsPerCommit(), m.HomeUpdateFailures)
 	if r.Config.Trace {
 		fmt.Fprintf(&b, "%-22s %8d   dropped %d  protocol-check %s\n",
 			"trace-events", r.TraceEvents, r.TraceDropped, errLabel(r.ProtocolErr))

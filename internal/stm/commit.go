@@ -3,7 +3,6 @@ package stm
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 	"time"
 
@@ -11,30 +10,6 @@ import (
 	"dstm/internal/object"
 	"dstm/internal/transport"
 )
-
-// commit drives the top-level (root) commit protocol:
-//
-//  1. commit-lock every written object at its owner (version CAS) — from
-//     this moment retrieve requests for those objects conflict and flow
-//     through the transactional scheduler;
-//  2. validate the read-only set (early validation);
-//  3. install created objects (locked) and register them with their homes;
-//  4. commit point: tick the local TFA clock, producing the new version;
-//  5. publish every written object: update in place when this node already
-//     owns it, otherwise migrate ownership here (adopting the old owner's
-//     requester queue) and update the home directory;
-//  6. hand freshly committed objects to queued requesters (RTS hand-off).
-//
-// Every phase is owner-grouped: the write and read sets are partitioned by
-// owner (IDs kept in global sortIDs order within and across groups) and each
-// phase sends ONE batch message per owner, fanned out in parallel through
-// cluster.Endpoint.Broadcast. A commit touching k objects spread over m
-// owners therefore costs O(m) message rounds instead of O(k) — the
-// messages and rounds are counted into Metrics (CommitMsgs/CommitRounds).
-//
-// Like the paper's model we assume reliable message delivery: a transport
-// failure between steps 4 and 5 is surfaced but cannot be rolled back.
-var debugCommit = os.Getenv("DSTM_DEBUG_COMMIT") != ""
 
 // ownerGroup is one owner's slice of an owner-partitioned ID set, in
 // deterministic order: IDs sorted within the group, groups sorted by owner.
@@ -76,6 +51,33 @@ func (cm *commitMeter) wave(n int) {
 	cm.rounds++
 }
 
+// commit drives the top-level (root) commit protocol:
+//
+//  1. commit-lock every written object at its owner (version CAS) — from
+//     this moment retrieve requests for those objects conflict and flow
+//     through the transactional scheduler;
+//  2. validate the read-only set (early validation);
+//  3. install created objects (locked) and register them with their homes;
+//  4. commit point: tick the local TFA clock, producing the new version;
+//  5. publish every written object: update in place when this node already
+//     owns it, otherwise migrate ownership here (adopting the old owner's
+//     requester queue, while the old owner keeps a forwarding pointer here);
+//  6. hand freshly committed objects to queued requesters (RTS hand-off).
+//
+// The homes of migrated objects learn the new owner off the commit path: a
+// detached goroutine sends the versioned directory update and the commit
+// returns without waiting for it. Until it lands, requesters that ask the
+// home reach the old owner and follow its forwarding pointer.
+//
+// Every phase is owner-grouped: the write and read sets are partitioned by
+// owner (IDs kept in global sortIDs order within and across groups) and each
+// phase sends ONE batch message per owner, fanned out in parallel through
+// cluster.Endpoint.Broadcast. A commit touching k objects spread over m
+// owners therefore costs O(m) message rounds instead of O(k) — the
+// messages and rounds are counted into Metrics (CommitMsgs/CommitRounds).
+//
+// Like the paper's model we assume reliable message delivery: a transport
+// failure between steps 4 and 5 is surfaced but cannot be rolled back.
 func (tx *Txn) commit(ctx context.Context) error {
 	if tx.parent != nil {
 		panic("stm: commit called on a nested transaction")
@@ -188,8 +190,9 @@ func (tx *Txn) commit(ctx context.Context) error {
 // comes back unapplied left NO locks at that owner; only applied batches
 // (and calls whose replies were lost, conservatively) are recorded in
 // locked for the abort path to release. Stale owner hints are chased in
-// batches too: a "not owner" entry rolls its whole group back, the hint is
-// invalidated, and the group's objects re-enter the next wave, hop-bounded.
+// batches too: a "not owner" entry rolls its whole group back, its hint
+// follows the owner's forwarding pointer (or is dropped so the home is
+// asked), and the group's objects re-enter the next wave, hop-bounded.
 func (tx *Txn) acquireAll(ctx context.Context, writes []object.ID, locked map[object.ID]transport.NodeID, meter *commitMeter) error {
 	if len(writes) == 0 {
 		return nil
@@ -227,9 +230,6 @@ func (tx *Txn) acquireAll(ctx context.Context, writes []object.ID, locked map[ob
 				for _, oid := range g.oids {
 					locked[oid] = g.owner
 				}
-				if debugCommit {
-					fmt.Printf("DBG acquire-batch-err tx=%x owner=%d oids=%v err=%v\n", tx.lockID, g.owner, g.oids, res.Err)
-				}
 				if firstErr == nil {
 					firstErr = res.Err
 				}
@@ -252,7 +252,7 @@ func (tx *Txn) acquireAll(ctx context.Context, writes []object.ID, locked map[ob
 			// per-entry refusals; pure not-owner groups chase the hint.
 			notOwnerOnly := true
 			for i, r := range resp.Results {
-				switch object.LockResult(r) {
+				switch object.LockResult(r.Result) {
 				case object.LockOK:
 				case object.LockStale:
 					stale, notOwnerOnly = true, false
@@ -261,7 +261,7 @@ func (tx *Txn) acquireAll(ctx context.Context, writes []object.ID, locked map[ob
 					// copy and aborts again.
 					rt.replica.invalidate(g.oids[i], rt.metrics)
 				case object.LockNotOwner:
-					rt.locator.InvalidateHint(g.oids[i])
+					rt.chaseOwner(g.oids[i], g.owner, r.Forward, hop)
 					rt.replica.invalidate(g.oids[i], rt.metrics)
 				default: // LockBusy
 					busy, notOwnerOnly = true, false
@@ -304,20 +304,17 @@ func (tx *Txn) releaseLocks(ctx context.Context, locked map[object.ID]transport.
 		calls = append(calls, cluster.Outcall{To: owner, Kind: KindRelease, Payload: releaseReq{Oids: oids, TxID: tx.lockID}})
 	}
 	// Best effort; the locks die with the runtime if the peer is gone.
-	results := tx.rt.ep.Broadcast(ctx, calls)
-	if debugCommit {
-		for i, res := range results {
-			fmt.Printf("DBG release tx=%x call=%+v err=%v\n", tx.lockID, calls[i], res.Err)
-		}
-	}
+	tx.rt.ep.Broadcast(ctx, calls)
 }
 
-// publishAll installs the committed write set at its new home (this node),
+// publishAll installs the committed write set at its new owner (this node),
 // one migration batch per remote owner, and hands the freshly committed
-// objects to queued requesters. Locally owned writes update in place and
-// cost no messages. A failed entry frees its own commit lock so the object
-// is not wedged, but its already-published siblings stay published (the
-// paper's model assumes reliable delivery past the commit point).
+// objects to queued requesters as soon as they are installed. Locally owned
+// writes update in place and cost no messages. A failed entry frees its own
+// commit lock so the object is not wedged, but its already-published
+// siblings stay published (the paper's model assumes reliable delivery past
+// the commit point). The homes of the migrated objects are updated off the
+// commit path (updateHomes).
 func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked map[object.ID]transport.NodeID, newVer object.Version, meter *commitMeter) error {
 	if len(writes) == 0 {
 		return nil
@@ -346,14 +343,11 @@ func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked map[ob
 	meter.wave(len(calls))
 
 	// migrated collects the objects whose old owner surrendered them; their
-	// home directories are updated in one more batched wave below.
+	// homes are told off the commit path.
 	var migrated []object.ID
 	for gi, res := range results {
 		g := remote[gi]
 		if res.Err != nil {
-			if debugCommit {
-				fmt.Printf("DBG publish-batch-err tx=%x owner=%d err=%v\n", tx.lockID, g.owner, res.Err)
-			}
 			tx.releaseGroup(ctx, g.owner, g.oids)
 			if pubErr == nil {
 				pubErr = fmt.Errorf("stm: commit migration at node %d: %w", g.owner, res.Err)
@@ -381,21 +375,13 @@ func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked map[ob
 			}
 			rt.store.Install(oid, tx.entries[oid].val.Copy(), newVer)
 			rt.policy.AdoptQueue(oid, r.Queue)
+			rt.locator.NoteOwner(oid, rt.Self())
+			rt.serveQueue(oid, rt.policy.OnRelease(oid))
 			migrated = append(migrated, oid)
 		}
 	}
-
 	if len(migrated) > 0 {
-		msgs, err := rt.locator.UpdateOwnerBatch(ctx, migrated, rt.Self())
-		meter.wave(msgs)
-		if err != nil && pubErr == nil {
-			pubErr = fmt.Errorf("stm: ownership update: %w", err)
-		}
-		if err == nil {
-			for _, oid := range migrated {
-				rt.serveQueue(oid, rt.policy.OnRelease(oid))
-			}
-		}
+		go rt.updateHomes(ctx, migrated, newVer)
 	}
 
 	for _, oid := range local {
@@ -408,6 +394,24 @@ func (tx *Txn) publishAll(ctx context.Context, writes []object.ID, locked map[ob
 		rt.serveQueue(oid, rt.policy.OnRelease(oid))
 	}
 	return pubErr
+}
+
+// updateHomes tells the homes of oids that this node now owns them, as of
+// the commit that produced ver. It runs off the commit path: Call retries
+// and deduplicates each batch, and homes ignore updates older than the last
+// one they applied, so a late update cannot move a home backwards. Its
+// messages count toward CommitMsgs but form no CommitRounds wave, since no
+// commit waits for them; an update that still fails after its retries is
+// counted in HomeUpdateFailures (requesters then reach the object through
+// the old owner's forwarding pointer). It ends when every batch is answered
+// or has failed, at the latest when the endpoint closes; nothing waits for
+// it.
+func (rt *Runtime) updateHomes(ctx context.Context, oids []object.ID, ver object.Version) {
+	msgs, err := rt.locator.UpdateOwnerBatch(ctx, oids, rt.Self(), ver)
+	rt.metrics.commitMsgs.Add(uint64(msgs))
+	if err != nil {
+		rt.metrics.homeUpdateFailures.Add(1)
+	}
 }
 
 // releaseGroup best-effort frees a slice of one owner's commit locks after

@@ -138,29 +138,33 @@ func TestCommitMigrationIdempotent(t *testing.T) {
 		t.Fatalf("lock: %v", got)
 	}
 
-	req := commitObjReq{
-		Oid:      "mig",
-		TxID:     txid,
-		NewVer:   object.Version{Clock: 9, Node: 1},
-		NewValue: &box{N: 2},
-		NewOwner: 1,
+	migrate := func(tx uint64) string {
+		t.Helper()
+		body, err := rt1.ep.Call(ctx, 0, KindCommitObjectBatch, commitObjBatchReq{
+			TxID:     tx,
+			NewVer:   object.Version{Clock: 9, Node: 1},
+			NewOwner: 1,
+			Entries:  []commitObjBatchEntry{{Oid: "mig", NewValue: &box{N: 2}}},
+		})
+		if err != nil {
+			t.Fatalf("migration call: %v", err)
+		}
+		return body.(commitObjBatchResp).Results[0].Err
 	}
 	// First migration removes the object from node 0.
-	if _, err := rt1.ep.Call(ctx, 0, KindCommitObject, req); err != nil {
-		t.Fatalf("migration: %v", err)
+	if msg := migrate(txid); msg != "" {
+		t.Fatalf("migration: %s", msg)
 	}
 	if rt0.Store().Owns("mig") {
 		t.Fatal("object still owned by old owner after migration")
 	}
 	// A re-executed retransmission (fresh correlation ID, so the RPC dedup
 	// cannot absorb it) must succeed idempotently.
-	if _, err := rt1.ep.Call(ctx, 0, KindCommitObject, req); err != nil {
-		t.Fatalf("retransmitted migration not idempotent: %v", err)
+	if msg := migrate(txid); msg != "" {
+		t.Fatalf("retransmitted migration not idempotent: %s", msg)
 	}
 	// A different transaction claiming the same migration is still an error.
-	bad := req
-	bad.TxID = 78
-	if _, err := rt1.ep.Call(ctx, 0, KindCommitObject, bad); err == nil {
+	if msg := migrate(78); msg == "" {
 		t.Fatal("foreign-tx migration of a gone object succeeded")
 	}
 }

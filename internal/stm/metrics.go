@@ -79,6 +79,8 @@ type Metrics struct {
 	commitMsgs    atomic.Uint64 // messages sent by successful commit pipelines
 	commitRounds  atomic.Uint64 // parallel batch rounds those messages formed
 
+	homeUpdateFailures atomic.Uint64 // off-path home updates failed after retries
+
 	// MVCC read path.
 	readOnlyCommits atomic.Uint64 // commits that wrote nothing (incl. AtomicRO)
 	readMsgs        atomic.Uint64 // data-path read RPCs charged to those commits
@@ -122,9 +124,19 @@ type MetricsSnapshot struct {
 	// CommitMsgs counts the protocol messages issued by commit pipelines
 	// that reached the commit point; CommitRounds counts the parallel batch
 	// waves they formed. Their ratios to Commits are the paper-facing
-	// "msgs/commit" and "rounds/commit" of the owner-grouped pipeline.
+	// "msgs/commit" and "rounds/commit" of the owner-grouped pipeline. The
+	// home-directory updates of migrated objects are sent off the commit
+	// path: their messages count toward CommitMsgs (possibly after the
+	// commit returned), but they form no round, since no commit waits for
+	// them.
 	CommitMsgs   uint64
 	CommitRounds uint64
+	// HomeUpdateFailures counts off-path home updates (one per migrating
+	// commit) that still failed after the endpoint's retries. The commit
+	// itself had already passed its commit point and succeeded; until a
+	// later migration updates the home, requesters reach the object via the
+	// old owner's forwarding pointer.
+	HomeUpdateFailures uint64
 
 	// ReadOnlyCommits counts commits whose transaction wrote nothing —
 	// plain Atomic roots with empty write sets and AtomicRO roots that
@@ -161,6 +173,8 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		LeaseExpiries: m.leaseExpiries.Load(),
 		CommitMsgs:    m.commitMsgs.Load(),
 		CommitRounds:  m.commitRounds.Load(),
+
+		HomeUpdateFailures: m.homeUpdateFailures.Load(),
 
 		ReadOnlyCommits: m.readOnlyCommits.Load(),
 		ReadMsgs:        m.readMsgs.Load(),
@@ -241,6 +255,7 @@ func (s *MetricsSnapshot) Merge(other MetricsSnapshot) {
 	s.LeaseExpiries += other.LeaseExpiries
 	s.CommitMsgs += other.CommitMsgs
 	s.CommitRounds += other.CommitRounds
+	s.HomeUpdateFailures += other.HomeUpdateFailures
 	s.ReadOnlyCommits += other.ReadOnlyCommits
 	s.ReadMsgs += other.ReadMsgs
 	s.SnapReads += other.SnapReads
@@ -277,6 +292,7 @@ func (s *MetricsSnapshot) Sub(base MetricsSnapshot) {
 	s.LeaseExpiries -= base.LeaseExpiries
 	s.CommitMsgs -= base.CommitMsgs
 	s.CommitRounds -= base.CommitRounds
+	s.HomeUpdateFailures -= base.HomeUpdateFailures
 	s.ReadOnlyCommits -= base.ReadOnlyCommits
 	s.ReadMsgs -= base.ReadMsgs
 	s.SnapReads -= base.SnapReads

@@ -68,6 +68,7 @@ func fullyPopulated() MetricsSnapshot {
 	m.leaseExpiries.Add(2)
 	m.commitMsgs.Add(15)
 	m.commitRounds.Add(12)
+	m.homeUpdateFailures.Add(19)
 	m.readOnlyCommits.Add(11)
 	m.readMsgs.Add(13)
 	m.snapReads.Add(14)

@@ -15,13 +15,14 @@ import (
 const (
 	// KindRetrieve is Open_Object's request to an object owner.
 	KindRetrieve transport.Kind = 10
-	// KindCheckVersion validates one read-set entry at its owner.
+	// KindCheckVersion, KindAcquire and KindCommitObject are retired: the
+	// single-object commit protocol gave way to the owner batches (kinds
+	// 17–19). The numbers stay reserved and are never reused.
 	KindCheckVersion transport.Kind = 11
-	// KindAcquire commit-locks one write-set object at its owner.
-	KindAcquire transport.Kind = 12
+	KindAcquire      transport.Kind = 12
 	// KindRelease drops commit locks after a failed commit.
 	KindRelease transport.Kind = 13
-	// KindCommitObject installs the new version and migrates ownership.
+	// KindCommitObject is retired; see KindCheckVersion.
 	KindCommitObject transport.Kind = 14
 	// KindPush hands an object to an enqueued requester (one-way).
 	KindPush transport.Kind = 15
@@ -44,6 +45,10 @@ const (
 	// all pinned to one snapshot clock, in one round trip.
 	KindSnapshotReadBatch transport.Kind = 21
 )
+
+// noForward is the forwarding pointer of a "not owner" answer from a node
+// that has no record of sending the object anywhere (it never owned it).
+const noForward transport.NodeID = -1
 
 // retrieveReq is Open_Object's wire request: object ID, transaction ID, the
 // requester's contention level (myCL), and its ETS execution-time stamps
@@ -71,6 +76,9 @@ type retrieveResp struct {
 	Backoff time.Duration
 	// OwnerClock is the owner's TFA clock, used for forwarding checks.
 	OwnerClock uint64
+	// Forward is set when Status == retrieveNotOwner: the node this one
+	// last surrendered the object to, or noForward.
+	Forward transport.NodeID
 }
 
 type retrieveStatus uint8
@@ -82,53 +90,10 @@ const (
 	retrieveNotOwner
 )
 
-// checkReq validates that oid still has version Ver and is not being
-// committed by another transaction (TxID identifies the validator, whose
-// own locks do not invalidate it).
-type checkReq struct {
-	Oid  object.ID
-	Ver  object.Version
-	TxID uint64
-}
-
-// checkResp reports validation outcome.
-type checkResp struct {
-	OK       bool
-	NotOwner bool
-}
-
-// acquireReq commit-locks oid for TxID if its version is still Ver.
-type acquireReq struct {
-	Oid  object.ID
-	TxID uint64
-	Ver  object.Version
-}
-
-// acquireResp reports the lock outcome (object.LockResult semantics).
-type acquireResp struct {
-	Result uint8
-}
-
 // releaseReq unlocks objects after a failed commit.
 type releaseReq struct {
 	Oids []object.ID
 	TxID uint64
-}
-
-// commitObjReq installs a new committed version at the old owner and
-// migrates ownership to the committer. The old owner responds with its
-// requester queue so scheduling state travels with the object.
-type commitObjReq struct {
-	Oid      object.ID
-	TxID     uint64
-	NewVer   object.Version
-	NewValue object.Value
-	NewOwner transport.NodeID
-}
-
-// commitObjResp acknowledges the migration and hands over the queue.
-type commitObjResp struct {
-	Queue []sched.Request
 }
 
 // ---------------------------------------------------------------------------
@@ -153,12 +118,19 @@ type acquireBatchReq struct {
 	Entries []verEntry
 }
 
+// acquireResult is one entry's lock outcome (an object.LockResult value).
+// Forward is the owner's forwarding pointer when Result is LockNotOwner.
+type acquireResult struct {
+	Result  uint8
+	Forward transport.NodeID
+}
+
 // acquireBatchResp reports per-entry lock outcomes, parallel to the
-// request entries (object.LockResult values). Applied reports whether the
-// locks were actually taken; when false, no entry is locked at the owner —
-// the results identify which entries failed and how.
+// request entries. Applied reports whether the locks were actually taken;
+// when false, no entry is locked at the owner — the results identify which
+// entries failed and how.
 type acquireBatchResp struct {
-	Results []uint8
+	Results []acquireResult
 	Applied bool
 }
 
@@ -169,10 +141,12 @@ type checkBatchReq struct {
 	Entries []verEntry
 }
 
-// checkBatchResult is one entry's validation outcome.
+// checkBatchResult is one entry's validation outcome. Forward is the
+// owner's forwarding pointer when NotOwner is set.
 type checkBatchResult struct {
 	OK       bool
 	NotOwner bool
+	Forward  transport.NodeID
 }
 
 // checkBatchResp carries per-entry outcomes, parallel to the request.
@@ -230,12 +204,14 @@ const (
 
 // snapReadResp answers a snapshot read. Value and Version are set when
 // Status == snapReadOK; OwnerClock lets the requester's next attempt pin a
-// snapshot the owner can serve.
+// snapshot the owner can serve. Forward is the owner's forwarding pointer
+// when Status == snapReadNotOwner.
 type snapReadResp struct {
 	Status     uint8
 	Value      object.Value
 	Version    object.Version
 	OwnerClock uint64
+	Forward    transport.NodeID
 }
 
 // snapReadBatchReq asks one owner for a slice of snapshot reads, all
@@ -247,10 +223,13 @@ type snapReadBatchReq struct {
 }
 
 // snapReadResult is one entry's outcome, parallel to the request Oids.
+// Forward is the owner's forwarding pointer when Status is
+// snapReadNotOwner.
 type snapReadResult struct {
 	Status  uint8
 	Value   object.Value
 	Version object.Version
+	Forward transport.NodeID
 }
 
 // snapReadBatchResp carries per-entry outcomes, parallel to the request.
@@ -281,13 +260,7 @@ type declineMsg struct {
 func init() {
 	transport.RegisterPayload(retrieveReq{})
 	transport.RegisterPayload(retrieveResp{})
-	transport.RegisterPayload(checkReq{})
-	transport.RegisterPayload(checkResp{})
-	transport.RegisterPayload(acquireReq{})
-	transport.RegisterPayload(acquireResp{})
 	transport.RegisterPayload(releaseReq{})
-	transport.RegisterPayload(commitObjReq{})
-	transport.RegisterPayload(commitObjResp{})
 	transport.RegisterPayload(pushMsg{})
 	transport.RegisterPayload(declineMsg{})
 	transport.RegisterPayload(acquireBatchReq{})

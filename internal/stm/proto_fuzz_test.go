@@ -73,6 +73,7 @@ func FuzzRetrieveRoundTrip(f *testing.F) {
 			Status: retrieveStatus(status), Value: fuzzVal{X: val},
 			Version:  object.Version{Clock: ownClock, Node: vnode},
 			RemoteCL: myCL, Backoff: time.Duration(backoff), OwnerClock: ownClock,
+			Forward: transport.NodeID(vnode),
 		}
 		if got := roundTrip(t, resp).(retrieveResp); got != resp {
 			t.Fatalf("retrieveResp changed: %+v -> %+v", resp, got)
@@ -80,21 +81,22 @@ func FuzzRetrieveRoundTrip(f *testing.F) {
 	})
 }
 
-// FuzzCommitPushRoundTrip round-trips the ownership-migration pair: the
-// commit request that moves an object (and, in its reply, the requester
-// queue) and the push that hands it to a parked transaction.
+// FuzzCommitPushRoundTrip round-trips the ownership-migration pair: a
+// one-entry commit-migration batch that moves an object (and, in its reply,
+// the requester queue) and the push that hands it to a parked transaction.
 func FuzzCommitPushRoundTrip(f *testing.F) {
 	f.Add("obj/x", uint64(3), uint64(17), int32(2), int64(-4), uint64(23), int32(0), uint8(1), int64(6e6), int64(8e6))
 	f.Add("", uint64(0), uint64(0), int32(-1), int64(0), ^uint64(0), int32(5), uint8(0), int64(0), int64(-1))
 	f.Fuzz(func(t *testing.T, oid string, tx, verClock uint64, newOwner int32, val int64,
 		pushClock uint64, qnode int32, qmode uint8, qElapsed, qRemain int64) {
-		commit := commitObjReq{
-			Oid: object.ID(oid), TxID: tx,
+		commit := commitObjBatchReq{
+			TxID:     tx,
 			NewVer:   object.Version{Clock: verClock, Node: newOwner},
-			NewValue: fuzzVal{X: val}, NewOwner: transport.NodeID(newOwner),
+			NewOwner: transport.NodeID(newOwner),
+			Entries:  []commitObjBatchEntry{{Oid: object.ID(oid), NewValue: fuzzVal{X: val}}},
 		}
-		if got := roundTrip(t, commit).(commitObjReq); got != commit {
-			t.Fatalf("commitObjReq changed: %+v -> %+v", commit, got)
+		if got := roundTrip(t, commit).(commitObjBatchReq); !reflect.DeepEqual(got, commit) {
+			t.Fatalf("commitObjBatchReq changed: %+v -> %+v", commit, got)
 		}
 
 		qreq := sched.Request{
@@ -102,10 +104,10 @@ func FuzzCommitPushRoundTrip(f *testing.F) {
 			Mode: sched.Mode(qmode), MyCL: int(qnode),
 			Elapsed: time.Duration(qElapsed), ExpectedRemaining: time.Duration(qRemain),
 		}
-		cr := commitObjResp{Queue: []sched.Request{qreq}}
-		gotCR := roundTrip(t, cr).(commitObjResp)
-		if len(gotCR.Queue) != 1 || gotCR.Queue[0] != qreq {
-			t.Fatalf("commitObjResp queue changed: %+v -> %+v", cr, gotCR)
+		cr := commitObjBatchResp{Results: []commitObjBatchResult{{Queue: []sched.Request{qreq}}}}
+		gotCR := roundTrip(t, cr).(commitObjBatchResp)
+		if len(gotCR.Results) != 1 || len(gotCR.Results[0].Queue) != 1 || gotCR.Results[0].Queue[0] != qreq {
+			t.Fatalf("commitObjBatchResp queue changed: %+v -> %+v", cr, gotCR)
 		}
 
 		push := pushMsg{
@@ -123,7 +125,8 @@ func FuzzCommitPushRoundTrip(f *testing.F) {
 // validation batches. The per-entry result slices must survive verbatim and
 // stay parallel to the request entries: a shifted or truncated Results
 // slice would make the committer misattribute which entry refused the
-// batch (and hence which transaction to abort).
+// batch (and hence which transaction to abort), and a corrupted forwarding
+// pointer would send its owner chase to the wrong node.
 func FuzzAcquireCheckBatchRoundTrip(f *testing.F) {
 	f.Add("obj/a", "obj/b", uint64(7), uint64(5), int32(1), byte(2), true, true, false)
 	f.Add("", "x", uint64(0), ^uint64(0), int32(-3), byte(0), false, false, true)
@@ -138,7 +141,10 @@ func FuzzAcquireCheckBatchRoundTrip(f *testing.F) {
 		if got := roundTrip(t, areq).(acquireBatchReq); !reflect.DeepEqual(got, areq) {
 			t.Fatalf("acquireBatchReq changed: %+v -> %+v", areq, got)
 		}
-		aresp := acquireBatchResp{Results: []uint8{lockRes, lockRes ^ 1}, Applied: applied}
+		aresp := acquireBatchResp{Results: []acquireResult{
+			{Result: lockRes, Forward: transport.NodeID(vnode)},
+			{Result: lockRes ^ 1, Forward: transport.NodeID(-vnode)},
+		}, Applied: applied}
 		if got := roundTrip(t, aresp).(acquireBatchResp); !reflect.DeepEqual(got, aresp) {
 			t.Fatalf("acquireBatchResp changed: %+v -> %+v", aresp, got)
 		}
@@ -148,8 +154,8 @@ func FuzzAcquireCheckBatchRoundTrip(f *testing.F) {
 			t.Fatalf("checkBatchReq changed: %+v -> %+v", creq, got)
 		}
 		cresp := checkBatchResp{Results: []checkBatchResult{
-			{OK: ok, NotOwner: notOwner},
-			{OK: !ok, NotOwner: !notOwner},
+			{OK: ok, NotOwner: notOwner, Forward: transport.NodeID(vnode)},
+			{OK: !ok, NotOwner: !notOwner, Forward: transport.NodeID(-vnode)},
 		}}
 		if got := roundTrip(t, cresp).(checkBatchResp); !reflect.DeepEqual(got, cresp) {
 			t.Fatalf("checkBatchResp changed: %+v -> %+v", cresp, got)
@@ -174,7 +180,7 @@ func FuzzSnapshotReadRoundTrip(f *testing.F) {
 		resp := snapReadResp{
 			Status: status, Value: fuzzVal{X: val},
 			Version:    object.Version{Clock: verClock, Node: vnode},
-			OwnerClock: ownClock,
+			OwnerClock: ownClock, Forward: transport.NodeID(vnode),
 		}
 		if got := roundTrip(t, resp).(snapReadResp); got != resp {
 			t.Fatalf("snapReadResp changed: %+v -> %+v", resp, got)
@@ -196,8 +202,10 @@ func FuzzSnapshotReadBatchRoundTrip(f *testing.F) {
 		}
 		resp := snapReadBatchResp{
 			Results: []snapReadResult{
-				{Status: statusA, Value: fuzzVal{X: val}, Version: object.Version{Clock: verClock, Node: vnode}},
-				{Status: statusB, Value: fuzzVal{X: -val}, Version: object.Version{Clock: ^verClock, Node: -vnode}},
+				{Status: statusA, Value: fuzzVal{X: val}, Version: object.Version{Clock: verClock, Node: vnode},
+					Forward: transport.NodeID(vnode)},
+				{Status: statusB, Value: fuzzVal{X: -val}, Version: object.Version{Clock: ^verClock, Node: -vnode},
+					Forward: transport.NodeID(-vnode)},
 			},
 			OwnerClock: ownClock,
 		}

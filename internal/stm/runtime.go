@@ -38,12 +38,14 @@ type Runtime struct {
 	waitMu  sync.Mutex
 	waiters map[waitKey]chan pushMsg
 
-	// migrated remembers, per object, the transaction whose commit last
-	// migrated it away from this node. A retransmitted commit-migration
-	// request (its reply was lost and the RPC dedup entry has aged out)
-	// must read as success, not "not owned" — see handleCommitObject.
+	// migrated remembers, per object, the last migration away from this
+	// node: the committing transaction, so a retransmitted migration request
+	// (its reply was lost and the RPC dedup entry has aged out) reads as
+	// success, not "not owned" (see migrateOut); and the destination, the
+	// forwarding pointer every "not owner" answer carries. Only migrateOut
+	// writes it, so following pointers only moves forward in time.
 	migrMu   sync.Mutex
-	migrated map[object.ID]uint64
+	migrated map[object.ID]migration
 
 	nesting NestingMode
 	tracer  *trace.Recorder
@@ -59,6 +61,12 @@ type Runtime struct {
 type waitKey struct {
 	tx  uint64
 	oid object.ID
+}
+
+// migration is one object's last departure from this node.
+type migration struct {
+	tx uint64
+	to transport.NodeID
 }
 
 // NestingMode selects how Txn.Atomic treats inner atomic blocks.
@@ -100,13 +108,10 @@ func NewRuntime(ep *cluster.Endpoint, size int, policy sched.Policy, st *stats.T
 		stats:    st,
 		metrics:  &Metrics{},
 		waiters:  make(map[waitKey]chan pushMsg),
-		migrated: make(map[object.ID]uint64),
+		migrated: make(map[object.ID]migration),
 	}
 	ep.Handle(KindRetrieve, rt.handleRetrieve)
-	ep.Handle(KindCheckVersion, rt.handleCheckVersion)
-	ep.Handle(KindAcquire, rt.handleAcquire)
 	ep.Handle(KindRelease, rt.handleRelease)
-	ep.Handle(KindCommitObject, rt.handleCommitObject)
 	ep.Handle(KindAcquireBatch, rt.handleAcquireBatch)
 	ep.Handle(KindCheckVersionBatch, rt.handleCheckVersionBatch)
 	ep.Handle(KindCommitObjectBatch, rt.handleCommitObjectBatch)
@@ -240,7 +245,7 @@ func (rt *Runtime) handleRetrieve(from transport.NodeID, payload any) (any, erro
 
 	val, ver, locked, owned := rt.store.Snapshot(req.Oid)
 	if !owned {
-		return retrieveResp{Status: retrieveNotOwner}, nil
+		return retrieveResp{Status: retrieveNotOwner, Forward: rt.forwardOf(req.Oid)}, nil
 	}
 	if !locked {
 		return retrieveResp{
@@ -274,30 +279,6 @@ func (rt *Runtime) handleRetrieve(from transport.NodeID, payload any) (any, erro
 	return retrieveResp{Status: retrieveDenied, RemoteCL: localCL}, nil
 }
 
-func (rt *Runtime) handleCheckVersion(_ transport.NodeID, payload any) (any, error) {
-	req, ok := payload.(checkReq)
-	if !ok {
-		return nil, fmt.Errorf("stm: bad check payload %T", payload)
-	}
-	ver, lockedBy, owned := rt.store.State(req.Oid)
-	if !owned {
-		return checkResp{NotOwner: true}, nil
-	}
-	// A version is valid only if unchanged AND not mid-commit by another
-	// transaction (whose new version would be installed momentarily).
-	ok = ver.Equal(req.Ver) && (lockedBy == 0 || lockedBy == req.TxID)
-	return checkResp{OK: ok}, nil
-}
-
-func (rt *Runtime) handleAcquire(_ transport.NodeID, payload any) (any, error) {
-	req, ok := payload.(acquireReq)
-	if !ok {
-		return nil, fmt.Errorf("stm: bad acquire payload %T", payload)
-	}
-	res := rt.store.Lock(req.Oid, req.TxID, req.Ver)
-	return acquireResp{Result: uint8(res)}, nil
-}
-
 func (rt *Runtime) handleRelease(_ transport.NodeID, payload any) (any, error) {
 	req, ok := payload.(releaseReq)
 	if !ok {
@@ -316,42 +297,42 @@ func (rt *Runtime) handleRelease(_ transport.NodeID, payload any) (any, error) {
 	return releaseReq{}, nil
 }
 
-func (rt *Runtime) handleCommitObject(from transport.NodeID, payload any) (any, error) {
-	req, ok := payload.(commitObjReq)
-	if !ok {
-		return nil, fmt.Errorf("stm: bad commit payload %T", payload)
-	}
-	queue, err := rt.migrateOut(req.Oid, req.TxID)
-	if err != nil {
-		return nil, err
-	}
-	return commitObjResp{Queue: queue}, nil
-}
-
-// migrateOut surrenders one object to the committing transaction tx:
-// ownership migrates to the committer, so drop the local copy (requires the
-// committer to hold the commit lock) and hand back the requester queue so
-// scheduling state travels with the object.
+// migrateOut surrenders one object to the committing transaction tx on
+// node to: ownership migrates to the committer, so drop the local copy
+// (requires the committer to hold the commit lock), leave a forwarding
+// pointer at to, and hand back the requester queue so scheduling state
+// travels with the object.
 //
 // At-least-once delivery: if tx already migrated the object away (the reply
 // was lost and the retransmission outlived the RPC dedup window), the
 // removal is done — report success. The requester queue went with the first
 // execution; an empty queue here only costs the parked requesters a backoff
 // timeout.
-func (rt *Runtime) migrateOut(oid object.ID, tx uint64) ([]sched.Request, error) {
+func (rt *Runtime) migrateOut(oid object.ID, tx uint64, to transport.NodeID) ([]sched.Request, error) {
 	if err := rt.store.Remove(oid, tx); err != nil {
 		rt.migrMu.Lock()
 		prior := rt.migrated[oid]
 		rt.migrMu.Unlock()
-		if prior == tx {
+		if prior.tx == tx {
 			return nil, nil
 		}
 		return nil, err
 	}
 	rt.migrMu.Lock()
-	rt.migrated[oid] = tx
+	rt.migrated[oid] = migration{tx: tx, to: to}
 	rt.migrMu.Unlock()
 	return rt.policy.ExtractQueue(oid), nil
+}
+
+// forwardOf is the forwarding pointer a "not owner" answer for oid
+// carries: the node this one last surrendered oid to, or noForward.
+func (rt *Runtime) forwardOf(oid object.ID) transport.NodeID {
+	rt.migrMu.Lock()
+	defer rt.migrMu.Unlock()
+	if m, ok := rt.migrated[oid]; ok {
+		return m.to
+	}
+	return noForward
 }
 
 // ---------------------------------------------------------------------------
@@ -368,9 +349,12 @@ func (rt *Runtime) handleAcquireBatch(_ transport.NodeID, payload any) (any, err
 		entries[i] = object.LockEntry{ID: e.Oid, Expect: e.Ver}
 	}
 	results, applied := rt.store.LockBatch(req.TxID, entries)
-	resp := acquireBatchResp{Results: make([]uint8, len(results)), Applied: applied}
+	resp := acquireBatchResp{Results: make([]acquireResult, len(results)), Applied: applied}
 	for i, r := range results {
-		resp.Results[i] = uint8(r)
+		resp.Results[i].Result = uint8(r)
+		if r == object.LockNotOwner {
+			resp.Results[i].Forward = rt.forwardOf(req.Entries[i].Oid)
+		}
 	}
 	return resp, nil
 }
@@ -384,11 +368,11 @@ func (rt *Runtime) handleCheckVersionBatch(_ transport.NodeID, payload any) (any
 	for i, e := range req.Entries {
 		ver, lockedBy, owned := rt.store.State(e.Oid)
 		if !owned {
-			resp.Results[i] = checkBatchResult{NotOwner: true}
+			resp.Results[i] = checkBatchResult{NotOwner: true, Forward: rt.forwardOf(e.Oid)}
 			continue
 		}
-		// Same validity rule as handleCheckVersion: unchanged version AND not
-		// mid-commit by another transaction.
+		// A version is valid only if unchanged AND not mid-commit by another
+		// transaction (whose new version would be installed momentarily).
 		valid := ver.Equal(e.Ver) && (lockedBy == 0 || lockedBy == req.TxID)
 		resp.Results[i] = checkBatchResult{OK: valid}
 	}
@@ -402,7 +386,7 @@ func (rt *Runtime) handleCommitObjectBatch(_ transport.NodeID, payload any) (any
 	}
 	resp := commitObjBatchResp{Results: make([]commitObjBatchResult, len(req.Entries))}
 	for i, e := range req.Entries {
-		queue, err := rt.migrateOut(e.Oid, req.TxID)
+		queue, err := rt.migrateOut(e.Oid, req.TxID, req.NewOwner)
 		if err != nil {
 			resp.Results[i].Err = err.Error()
 			continue
@@ -448,12 +432,16 @@ func (rt *Runtime) handleSnapshotRead(_ transport.NodeID, payload any) (any, err
 	} else {
 		val, ver, st = rt.store.SnapshotAt(req.Oid, req.At, req.TxID)
 	}
-	return snapReadResp{
+	resp := snapReadResp{
 		Status:     snapStatusOf(st),
 		Value:      val,
 		Version:    ver,
 		OwnerClock: rt.clock.Now(),
-	}, nil
+	}
+	if st == object.SnapNotOwner {
+		resp.Forward = rt.forwardOf(req.Oid)
+	}
+	return resp, nil
 }
 
 func (rt *Runtime) handleSnapshotReadBatch(_ transport.NodeID, payload any) (any, error) {
@@ -472,6 +460,9 @@ func (rt *Runtime) handleSnapshotReadBatch(_ transport.NodeID, payload any) (any
 		// incompatible clocks.
 		val, ver, st := rt.store.SnapshotAt(oid, req.At, req.TxID)
 		resp.Results[i] = snapReadResult{Status: snapStatusOf(st), Value: val, Version: ver}
+		if st == object.SnapNotOwner {
+			resp.Results[i].Forward = rt.forwardOf(oid)
+		}
 	}
 	return resp, nil
 }

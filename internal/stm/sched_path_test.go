@@ -318,25 +318,25 @@ func TestQueueMigratesWithOwnership(t *testing.T) {
 	waitFor(t, func() bool { return rts0.QueueLen("x") == 1 })
 
 	// Simulate node 1's commit of x: migrate ownership + queue to node 1
-	// exactly as Txn.publish does.
+	// exactly as Txn.publishAll does.
 	newVer := object.Version{Clock: tc.rts[1].ep.Clock().Tick(), Node: 1}
-	body, err := tc.rts[1].ep.Call(ctx, 0, KindCommitObject, commitObjReq{
-		Oid: "x", TxID: committerTx, NewVer: newVer,
-		NewValue: &box{N: 50}, NewOwner: 1,
+	body, err := tc.rts[1].ep.Call(ctx, 0, KindCommitObjectBatch, commitObjBatchReq{
+		TxID: committerTx, NewVer: newVer, NewOwner: 1,
+		Entries: []commitObjBatchEntry{{Oid: "x", NewValue: &box{N: 50}}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	queue := body.(commitObjResp).Queue
-	if len(queue) != 1 {
-		t.Fatalf("migrated queue = %+v", queue)
+	res := body.(commitObjBatchResp).Results[0]
+	if res.Err != "" || len(res.Queue) != 1 {
+		t.Fatalf("migration result = %+v", res)
 	}
 	tc.rts[1].Store().Install("x", &box{N: 50}, newVer)
-	if err := tc.rts[1].Locator().UpdateOwner(ctx, "x", 1); err != nil {
+	tc.rts[1].Policy().AdoptQueue("x", res.Queue)
+	tc.rts[1].serveQueue("x", tc.rts[1].Policy().OnRelease("x"))
+	if _, err := tc.rts[1].Locator().UpdateOwnerBatch(ctx, []object.ID{"x"}, 1, newVer); err != nil {
 		t.Fatal(err)
 	}
-	tc.rts[1].Policy().AdoptQueue("x", queue)
-	tc.rts[1].serveQueue("x", tc.rts[1].Policy().OnRelease("x"))
 
 	if err := <-doneC; err != nil {
 		t.Fatal(err)

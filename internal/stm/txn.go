@@ -31,6 +31,23 @@ func (e *abortError) Error() string {
 // maxOwnerHops bounds stale-owner-hint chases during a fetch.
 const maxOwnerHops = 8
 
+// chaseOwner updates oid's owner hint after node asked answered "not owner"
+// with forwarding pointer fwd, on the given hop of a chase. It follows the
+// pointer: pointers are written only when an object leaves a node, so
+// following them only moves forward in time and reaches the owner within
+// N−1 hops while no migration is in flight. It drops the hint instead, so
+// the next locate asks the home, when the answer carried no pointer, when
+// the pointer names the node just asked, or once half the hop budget is
+// spent (a migration in flight can bounce a chase between old owners until
+// the new owner installs the object).
+func (rt *Runtime) chaseOwner(oid object.ID, asked, fwd transport.NodeID, hop int) {
+	if fwd == noForward || fwd == asked || hop >= maxOwnerHops/2 {
+		rt.locator.InvalidateHint(oid)
+		return
+	}
+	rt.locator.NoteOwner(oid, fwd)
+}
+
 // Txn is a (possibly closed-nested) transaction. Obtain a root transaction
 // from Runtime.Atomic and children from Txn.Atomic. A Txn is confined to
 // the goroutine executing its atomic block.
@@ -447,7 +464,7 @@ func (tx *Txn) ReadMany(ctx context.Context, oids []object.ID) ([]object.Value, 
 				case snapReadOK:
 					out[idx] = tx.adoptSnapshot(oids[idx], r.Value, r.Version).val
 				case snapReadNotOwner:
-					rt.locator.InvalidateHint(oids[idx])
+					rt.chaseOwner(oids[idx], ownerList[gi], r.Forward, hop)
 					next = append(next, idx)
 				default: // retry / too-old: re-pin on the next attempt
 					return nil, &abortError{target: root, cause: AbortSnapshot}
@@ -593,9 +610,7 @@ func (tx *Txn) fetch(ctx context.Context, oid object.ID, mode sched.Mode) (*objE
 
 		case retrieveNotOwner:
 			rt.deregisterWaiter(tx.id, oid)
-			if _, err := rt.locator.Relocate(ctx, oid); err != nil {
-				return nil, tx.convertErr(ctx, err, AbortDenied)
-			}
+			rt.chaseOwner(oid, owner, resp.Forward, hop)
 			continue
 
 		case retrieveDenied:
@@ -720,9 +735,7 @@ func (tx *Txn) snapFetch(ctx context.Context, oid object.ID) (*objEntry, error) 
 			}
 			return tx.adoptSnapshot(oid, resp.Value, resp.Version), nil
 		case snapReadNotOwner:
-			if _, err := rt.locator.Relocate(ctx, oid); err != nil {
-				return nil, tx.convertErr(ctx, err, AbortSnapshot)
-			}
+			rt.chaseOwner(oid, owner, resp.Forward, hop)
 			continue
 		case snapReadRetry, snapReadTooOld:
 			return nil, &abortError{target: root, cause: AbortSnapshot}
@@ -937,9 +950,9 @@ func (tx *Txn) checkVersions(ctx context.Context, entries []verEntry, meter *com
 			for i, r := range resp.Results {
 				idx := group[i]
 				if r.NotOwner {
-					// Ownership moved: the directory hint and any cached
-					// replica of this object are both stale.
-					rt.locator.InvalidateHint(entries[idx].Oid)
+					// Ownership moved: the owner hint and any cached replica
+					// of this object are both stale.
+					rt.chaseOwner(entries[idx].Oid, ownerList[gi], r.Forward, hop)
 					rt.replica.invalidate(entries[idx].Oid, rt.metrics)
 					next = append(next, idx)
 					continue

@@ -17,17 +17,13 @@ import (
 
 // Wire type IDs 10–39 are reserved for STM payloads (the band was 10–29
 // until the snapshot-read payloads consumed its tail). They are a static
-// protocol: never renumber, only append.
+// protocol: never renumber, only append. IDs 12–15, 17 and 18 belonged to
+// the retired single-object check, acquire and commit payloads and stay
+// unused.
 const (
 	wireIDRetrieveReq        wire.ID = 10
 	wireIDRetrieveResp       wire.ID = 11
-	wireIDCheckReq           wire.ID = 12
-	wireIDCheckResp          wire.ID = 13
-	wireIDAcquireReq         wire.ID = 14
-	wireIDAcquireResp        wire.ID = 15
 	wireIDReleaseReq         wire.ID = 16
-	wireIDCommitObjReq       wire.ID = 17
-	wireIDCommitObjResp      wire.ID = 18
 	wireIDPushMsg            wire.ID = 19
 	wireIDDeclineMsg         wire.ID = 20
 	wireIDAcquireBatchReq    wire.ID = 21
@@ -146,7 +142,8 @@ func (q retrieveResp) appendWire(b []byte) ([]byte, error) {
 	b = appendVersion(b, q.Version)
 	b = wire.AppendVarint(b, int64(q.RemoteCL))
 	b = wire.AppendVarint(b, int64(q.Backoff))
-	return wire.AppendUvarint(b, q.OwnerClock), nil
+	b = wire.AppendUvarint(b, q.OwnerClock)
+	return wire.AppendVarint(b, int64(q.Forward)), nil
 }
 
 func (q *retrieveResp) decodeWire(r *wire.Reader) {
@@ -156,48 +153,7 @@ func (q *retrieveResp) decodeWire(r *wire.Reader) {
 	q.RemoteCL = int(r.Varint())
 	q.Backoff = time.Duration(r.Varint())
 	q.OwnerClock = r.Uvarint()
-}
-
-func (q checkReq) appendWire(b []byte) []byte {
-	b = wire.AppendString(b, string(q.Oid))
-	b = appendVersion(b, q.Ver)
-	return wire.AppendUvarint(b, q.TxID)
-}
-
-func (q *checkReq) decodeWire(r *wire.Reader) {
-	q.Oid = object.ID(r.String())
-	q.Ver = readVersion(r)
-	q.TxID = r.Uvarint()
-}
-
-func (q checkResp) appendWire(b []byte) []byte {
-	b = wire.AppendBool(b, q.OK)
-	return wire.AppendBool(b, q.NotOwner)
-}
-
-func (q *checkResp) decodeWire(r *wire.Reader) {
-	q.OK = r.Bool()
-	q.NotOwner = r.Bool()
-}
-
-func (q acquireReq) appendWire(b []byte) []byte {
-	b = wire.AppendString(b, string(q.Oid))
-	b = wire.AppendUvarint(b, q.TxID)
-	return appendVersion(b, q.Ver)
-}
-
-func (q *acquireReq) decodeWire(r *wire.Reader) {
-	q.Oid = object.ID(r.String())
-	q.TxID = r.Uvarint()
-	q.Ver = readVersion(r)
-}
-
-func (q acquireResp) appendWire(b []byte) []byte {
-	return wire.AppendUvarint(b, uint64(q.Result))
-}
-
-func (q *acquireResp) decodeWire(r *wire.Reader) {
-	q.Result = uint8(r.Uvarint())
+	q.Forward = transport.NodeID(r.Varint())
 }
 
 func (q releaseReq) appendWire(b []byte) []byte {
@@ -215,33 +171,6 @@ func (q *releaseReq) decodeWire(r *wire.Reader) {
 		q.Oids[i] = object.ID(r.String())
 	}
 	q.TxID = r.Uvarint()
-}
-
-func (q commitObjReq) appendWire(b []byte) ([]byte, error) {
-	b = wire.AppendString(b, string(q.Oid))
-	b = wire.AppendUvarint(b, q.TxID)
-	b = appendVersion(b, q.NewVer)
-	b, err := wire.AppendAny(b, q.NewValue)
-	if err != nil {
-		return b, err
-	}
-	return wire.AppendVarint(b, int64(q.NewOwner)), nil
-}
-
-func (q *commitObjReq) decodeWire(r *wire.Reader) {
-	q.Oid = object.ID(r.String())
-	q.TxID = r.Uvarint()
-	q.NewVer = readVersion(r)
-	q.NewValue = readValue(r, q.NewValue)
-	q.NewOwner = transport.NodeID(r.Varint())
-}
-
-func (q commitObjResp) appendWire(b []byte) []byte {
-	return appendSchedQueue(b, q.Queue)
-}
-
-func (q *commitObjResp) decodeWire(r *wire.Reader) {
-	q.Queue = readSchedQueue(r, q.Queue)
 }
 
 func (q pushMsg) appendWire(b []byte) ([]byte, error) {
@@ -307,16 +236,18 @@ func (q *acquireBatchReq) decodeWire(r *wire.Reader) {
 func (q acquireBatchResp) appendWire(b []byte) []byte {
 	b = wire.AppendUvarint(b, uint64(len(q.Results)))
 	for _, res := range q.Results {
-		b = wire.AppendUvarint(b, uint64(res))
+		b = wire.AppendUvarint(b, uint64(res.Result))
+		b = wire.AppendVarint(b, int64(res.Forward))
 	}
 	return wire.AppendBool(b, q.Applied)
 }
 
 func (q *acquireBatchResp) decodeWire(r *wire.Reader) {
-	n := r.SliceLen(1)
+	n := r.SliceLen(2)
 	q.Results = grow(q.Results, n)
 	for i := range q.Results {
-		q.Results[i] = uint8(r.Uvarint())
+		q.Results[i].Result = uint8(r.Uvarint())
+		q.Results[i].Forward = transport.NodeID(r.Varint())
 	}
 	q.Applied = r.Bool()
 }
@@ -336,16 +267,18 @@ func (q checkBatchResp) appendWire(b []byte) []byte {
 	for i := range q.Results {
 		b = wire.AppendBool(b, q.Results[i].OK)
 		b = wire.AppendBool(b, q.Results[i].NotOwner)
+		b = wire.AppendVarint(b, int64(q.Results[i].Forward))
 	}
 	return b
 }
 
 func (q *checkBatchResp) decodeWire(r *wire.Reader) {
-	n := r.SliceLen(2)
+	n := r.SliceLen(3)
 	q.Results = grow(q.Results, n)
 	for i := range q.Results {
 		q.Results[i].OK = r.Bool()
 		q.Results[i].NotOwner = r.Bool()
+		q.Results[i].Forward = transport.NodeID(r.Varint())
 	}
 }
 
@@ -417,7 +350,8 @@ func (q snapReadResp) appendWire(b []byte) ([]byte, error) {
 		return b, err
 	}
 	b = appendVersion(b, q.Version)
-	return wire.AppendUvarint(b, q.OwnerClock), nil
+	b = wire.AppendUvarint(b, q.OwnerClock)
+	return wire.AppendVarint(b, int64(q.Forward)), nil
 }
 
 func (q *snapReadResp) decodeWire(r *wire.Reader) {
@@ -425,6 +359,7 @@ func (q *snapReadResp) decodeWire(r *wire.Reader) {
 	q.Value = readValue(r, q.Value)
 	q.Version = readVersion(r)
 	q.OwnerClock = r.Uvarint()
+	q.Forward = transport.NodeID(r.Varint())
 }
 
 func (q snapReadBatchReq) appendWire(b []byte) []byte {
@@ -457,18 +392,20 @@ func (q snapReadBatchResp) appendWire(b []byte) ([]byte, error) {
 			return b, err
 		}
 		b = appendVersion(b, q.Results[i].Version)
+		b = wire.AppendVarint(b, int64(q.Results[i].Forward))
 	}
 	return wire.AppendUvarint(b, q.OwnerClock), nil
 }
 
 func (q *snapReadBatchResp) decodeWire(r *wire.Reader) {
-	n := r.SliceLen(4)
+	n := r.SliceLen(5)
 	q.Results = grow(q.Results, n)
 	for i := range q.Results {
 		res := &q.Results[i]
 		res.Status = uint8(r.Uvarint())
 		res.Value = readValue(r, res.Value)
 		res.Version = readVersion(r)
+		res.Forward = transport.NodeID(r.Varint())
 	}
 	q.OwnerClock = r.Uvarint()
 }
@@ -499,65 +436,11 @@ func init() {
 			q.decodeWire(r)
 			return q
 		})
-	wire.Register(wireIDCheckReq, checkReq{},
-		func(b []byte, v any) ([]byte, error) { return v.(checkReq).appendWire(b), nil },
-		func(r *wire.Reader, prev any) any {
-			var q checkReq
-			if p, ok := prev.(checkReq); ok {
-				q = p
-			}
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDCheckResp, checkResp{},
-		func(b []byte, v any) ([]byte, error) { return v.(checkResp).appendWire(b), nil },
-		func(r *wire.Reader, prev any) any {
-			var q checkResp
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDAcquireReq, acquireReq{},
-		func(b []byte, v any) ([]byte, error) { return v.(acquireReq).appendWire(b), nil },
-		func(r *wire.Reader, prev any) any {
-			var q acquireReq
-			if p, ok := prev.(acquireReq); ok {
-				q = p
-			}
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDAcquireResp, acquireResp{},
-		func(b []byte, v any) ([]byte, error) { return v.(acquireResp).appendWire(b), nil },
-		func(r *wire.Reader, prev any) any {
-			var q acquireResp
-			q.decodeWire(r)
-			return q
-		})
 	wire.Register(wireIDReleaseReq, releaseReq{},
 		func(b []byte, v any) ([]byte, error) { return v.(releaseReq).appendWire(b), nil },
 		func(r *wire.Reader, prev any) any {
 			var q releaseReq
 			if p, ok := prev.(releaseReq); ok {
-				q = p
-			}
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDCommitObjReq, commitObjReq{},
-		func(b []byte, v any) ([]byte, error) { return v.(commitObjReq).appendWire(b) },
-		func(r *wire.Reader, prev any) any {
-			var q commitObjReq
-			if p, ok := prev.(commitObjReq); ok {
-				q = p
-			}
-			q.decodeWire(r)
-			return q
-		})
-	wire.Register(wireIDCommitObjResp, commitObjResp{},
-		func(b []byte, v any) ([]byte, error) { return v.(commitObjResp).appendWire(b), nil },
-		func(r *wire.Reader, prev any) any {
-			var q commitObjResp
-			if p, ok := prev.(commitObjResp); ok {
 				q = p
 			}
 			q.decodeWire(r)

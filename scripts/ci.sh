@@ -5,7 +5,9 @@
 #
 # Usage: scripts/ci.sh [stage]
 #   vet    go vet + go build
-#   test   go test with the protocol-package coverage floor
+#   test   go test with the protocol-package coverage floor, then go
+#          vet + go test in the nested perfbench module (the root
+#          ./... pattern does not descend into it)
 #   race   full suite under the race detector
 #   perf   perf smokes: commit-pipeline msgs/commit bound, the
 #          zero-allocation wire-codec gate, the open-loop stability
@@ -54,6 +56,11 @@ stage_test() {
         fi
         echo "WARNING: coverage ${cov}% is below the ${CI_COV_FLOOR}% soft floor" >&2
     fi
+
+    # perfbench is its own module, so the root `go test ./...` skips it; an
+    # stm/cc API change that breaks the benchmark must fail here.
+    echo "== perfbench: go vet ./... && go test ./..."
+    (cd perfbench && go vet ./... && go test ./...)
 }
 
 stage_race() {
